@@ -26,7 +26,7 @@ graph object) and recompiles automatically when the graph's topology
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from repro.exceptions import GraphError
@@ -129,7 +129,6 @@ class CompiledGraph:
         "_fwd_any",
         "_rev_any",
         "_num_edges",
-        "_engine",
         "_scan_cache",
         "_source",
     )
@@ -219,7 +218,6 @@ class CompiledGraph:
             self._fwd_any = None
             self._rev_any = None
         self._num_edges = sum(layer.num_edges for layer in self._fwd)
-        self._engine = None
         # Predicate scans depend on node attributes only, never on edges:
         # when the node set and attrs_version are unchanged, the donor's
         # memoised scans remain valid verbatim, so the cache is shared.
@@ -287,6 +285,13 @@ class CompiledGraph:
             return self._index[node]
         except KeyError as exc:
             raise GraphError(f"node {node!r} is not in the compiled graph") from exc
+
+    def node_indices(self, nodes: Iterable[NodeId]) -> FrozenSet[int]:
+        """The dense indices of ``nodes`` (a batched :meth:`node_index`)."""
+        try:
+            return frozenset(map(self._index.__getitem__, nodes))
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} is not in the compiled graph") from exc
 
     def has_node(self, node: NodeId) -> bool:
         return node in self._index
@@ -430,8 +435,6 @@ class CompiledGraph:
         ids = self._ids
         return [ids[i] for i in self.matching_indices(predicate)]
 
-    # -- engine handle -----------------------------------------------------------
-
     def refresh_attribute_scans(self, attrs_version: int) -> None:
         """Flush memoised predicate scans after an attribute-only update.
 
@@ -441,15 +444,6 @@ class CompiledGraph:
         """
         self._scan_cache.clear()
         self.source_attrs_version = attrs_version
-
-    def default_engine(self):
-        """The shared :class:`~repro.matching.csr_engine.CsrEngine` for this
-        snapshot (created lazily; its per-atom caches persist across queries)."""
-        if self._engine is None:
-            from repro.matching.csr_engine import CsrEngine
-
-            self._engine = CsrEngine(self)
-        return self._engine
 
 
 def compile_graph(graph: DataGraph) -> CompiledGraph:

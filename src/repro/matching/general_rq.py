@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Set, Tuple, Union
+from typing import Dict, Hashable, Iterator, Set, Tuple, Union
 
 from repro.exceptions import EvaluationError
-from repro.graph.csr import compiled_snapshot
 from repro.graph.data_graph import DataGraph
+from repro.matching.paths import PathMatcher
 from repro.query.predicates import Predicate
 from repro.query.rq import PredicateLike, coerce_predicate
 from repro.regex.general import GeneralRegex
@@ -113,81 +113,6 @@ class GeneralReachabilityResult:
         )
 
 
-def regex_reachable_from(
-    graph: DataGraph, source: NodeId, regex: GeneralRegex
-) -> Set[NodeId]:
-    """Nodes reachable from ``source`` by a *non-empty* path accepted by ``regex``.
-
-    Breadth-first product search over (graph node, NFA state set): each graph
-    edge advances the NFA state set by the edge's colour; a node is reported
-    whenever it is visited with an accepting state set after at least one edge.
-    """
-    nfa = regex.to_nfa()
-    start_states = frozenset({nfa.start})
-    initial = (source, start_states)
-    seen: Set[Tuple[NodeId, frozenset]] = {initial}
-    frontier: List[Tuple[NodeId, frozenset]] = [initial]
-    reachable: Set[NodeId] = set()
-
-    while frontier:
-        next_frontier: List[Tuple[NodeId, frozenset]] = []
-        for node, states in frontier:
-            for edge in graph.out_edges(node):
-                advanced = frozenset(nfa.step(states, edge.color))
-                if not advanced:
-                    continue
-                key = (edge.target, advanced)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_frontier.append(key)
-                if advanced & nfa.accepting:
-                    reachable.add(edge.target)
-        frontier = next_frontier
-    return reachable
-
-
-def _partitioned_regex_reachable(store, source: NodeId, nfa) -> Set[NodeId]:
-    """Product reach of one source over a partitioned store, shard-at-a-time.
-
-    The same (node, NFA state set) search as :func:`regex_reachable_from`,
-    but each round groups the live product states by owner shard and
-    expands them over the shard's local subgraph — a shard owns the full
-    out-edge set of its nodes, so per-round expansion is locally exact and
-    only the advanced product states cross shard boundaries.  Every round
-    counts as one boundary exchange on the store.
-    """
-    initial = (source, frozenset({nfa.start}))
-    seen: Set[Tuple[NodeId, frozenset]] = {initial}
-    frontier: List[Tuple[NodeId, frozenset]] = [initial]
-    reachable: Set[NodeId] = set()
-    while frontier:
-        routed: Dict[int, Tuple[object, List[Tuple[NodeId, frozenset]]]] = {}
-        for item in frontier:
-            shard = store.owner_shard(item[0])
-            if shard is not None:
-                routed.setdefault(shard.index, (shard, []))[1].append(item)
-        next_frontier: List[Tuple[NodeId, frozenset]] = []
-        for shard_index in sorted(routed):
-            shard, items = routed[shard_index]
-            subgraph = shard.graph
-            for node, states in items:
-                for edge in subgraph.out_edges(node):
-                    advanced = frozenset(nfa.step(states, edge.color))
-                    if not advanced:
-                        continue
-                    key = (edge.target, advanced)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    next_frontier.append(key)
-                    if advanced & nfa.accepting:
-                        reachable.add(edge.target)
-        store.exchange_rounds += 1
-        frontier = next_frontier
-    return reachable
-
-
 def evaluate_general_rq(
     query: GeneralReachabilityQuery,
     graph: DataGraph,
@@ -195,67 +120,22 @@ def evaluate_general_rq(
 ) -> GeneralReachabilityResult:
     """Evaluate a general-regex reachability query on a data graph.
 
-    ``engine`` selects between the original per-edge product search over the
-    adjacency dicts (``"dict"``), the compiled NFA-product path of
-    :meth:`repro.matching.csr_engine.CsrEngine.nfa_product_pairs` (``"csr"``,
-    the default resolution of ``"auto"``), and the shard-at-a-time product
-    worklist over the graph's partitioned store (``"partitioned"``, opt-in).
-    All return identical pair sets.
+    Engine-free like :func:`~repro.matching.reachability.evaluate_rq`: a
+    private :class:`~repro.matching.paths.PathMatcher` for ``engine``
+    (``"dict"``, ``"csr"`` — the resolution of ``"auto"`` — or
+    ``"partitioned"``) scans the endpoint predicates and runs the
+    (node × automaton state) product search through its storage adapter.
+    All engines return identical pair sets.
     """
     if engine not in ENGINES:
         raise EvaluationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     started = time.perf_counter()
-
-    if engine == "partitioned":
-        store = graph.partitioned_store()
-        store.sync()
-        sources = [
-            node for node in graph.nodes()
-            if query.source_predicate.matches(graph.attributes(node))
-        ]
-        targets = {
-            node for node in graph.nodes()
-            if query.target_predicate.matches(graph.attributes(node))
-        }
-        pairs: Set[NodePair] = set()
-        if sources and targets:
-            nfa = query.regex.to_nfa()
-            for source in sources:
-                for target in _partitioned_regex_reachable(store, source, nfa) & targets:
-                    pairs.add((source, target))
-        return GeneralReachabilityResult(
-            pairs=pairs, elapsed_seconds=time.perf_counter() - started
-        )
-
-    if engine in ("auto", "csr"):
-        snapshot = compiled_snapshot(graph)
-        csr = snapshot.default_engine()
-        source_indices = snapshot.matching_indices(query.source_predicate)
-        target_indices = snapshot.matching_indices(query.target_predicate)
-        pairs: Set[NodePair] = set()
-        if source_indices and target_indices:
-            ids = snapshot.ids
-            index_pairs = csr.nfa_product_pairs(
-                query.regex.to_nfa(), source_indices, target_indices
-            )
-            pairs = {(ids[a], ids[b]) for a, b in index_pairs}
-        return GeneralReachabilityResult(
-            pairs=pairs, elapsed_seconds=time.perf_counter() - started
-        )
-
-    sources = [
-        node for node in graph.nodes()
-        if query.source_predicate.matches(graph.attributes(node))
-    ]
-    targets = {
-        node for node in graph.nodes()
-        if query.target_predicate.matches(graph.attributes(node))
-    }
-    pairs = set()
+    matcher = PathMatcher(graph, engine=engine)
+    sources = matcher.matching_nodes(query.source_predicate)
+    targets = matcher.matching_nodes(query.target_predicate)
+    pairs: Set[NodePair] = set()
     if sources and targets:
-        for source in sources:
-            for target in regex_reachable_from(graph, source, query.regex) & targets:
-                pairs.add((source, target))
+        pairs = matcher.product_pairs(query.regex.to_nfa(), sources, targets)
     return GeneralReachabilityResult(
         pairs=pairs, elapsed_seconds=time.perf_counter() - started
     )

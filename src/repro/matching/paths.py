@@ -18,12 +18,14 @@ trivial zero-length path never counts).
 
 The matcher itself is engine-free: every expansion is delegated to a storage
 adapter (:mod:`repro.storage.adapter`), the one layer that knows how to read
-each backend.  The ``dict`` engine expands over the authoritative
-:class:`~repro.storage.dict_store.DictStore`; the ``csr`` engine reads
-through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` — clean
-colours at flat-array speed with memoised expansions, mutated colours as
-merged read-through frontiers, folded back into a fresh base when the store
-compacts.
+each backend.  One generic adapter serves the ``dict`` engine (the graph's
+own store: the authoritative :class:`~repro.storage.dict_store.DictStore`,
+or a pinned snapshot), the ``partitioned`` engine (the sharded
+:class:`~repro.storage.partition.PartitionedStore`) and matrix mode; the
+``csr`` engine uses its subclass over the graph's
+:class:`~repro.storage.overlay.OverlayCsrStore`, which runs clean colours
+at flat-array speed with memoised expansions and hands mutated colours to
+the generic merged read-through path until the store compacts.
 
 All search-mode caches are **version-aware**: memos are tagged with the
 graph's per-colour edge version
@@ -240,9 +242,10 @@ class PathMatcher:
 
         In matrix mode this is a single sweep over the graph nodes (checking
         each forward row against the target set), which avoids the lack of a
-        reverse index in the distance matrix; on the CSR engine it is one
-        batched multi-source reverse BFS; in dict search mode it is the union
-        of cached backward BFS runs.
+        reverse index in the distance matrix; in search mode it is one
+        batched multi-source reverse BFS (over the CSR base for clean
+        colours, through the store otherwise; a single target uses the
+        memoised per-node search).
         """
         return self._adapter.set_sources(targets, item)
 
@@ -310,6 +313,17 @@ class PathMatcher:
         space, translating ids once.
         """
         return self._adapter.query_pairs(regex, sources, targets, method)
+
+    def product_pairs(self, nfa, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+        """All pairs joined by a non-empty path the automaton ``nfa`` accepts.
+
+        The (node × automaton state) product search behind general-regex
+        reachability (:func:`~repro.matching.general_rq.evaluate_general_rq`):
+        on the CSR engine with no pending overlay it runs over the flat base
+        arrays, otherwise as a lazily determinised search over the store's
+        successors.
+        """
+        return self._adapter.product_pairs(nfa, sources, targets)
 
     def pair_matches(self, source: NodeId, target: NodeId, regex: FRegex) -> bool:
         """True when a non-empty path from ``source`` to ``target`` matches ``regex``."""

@@ -102,9 +102,10 @@ def build_nfa(expr: FRegex) -> Nfa:
 class LazyDfa:
     """Incrementally determinised integer-state view of an :class:`Nfa`.
 
-    The NFA-product evaluation over compiled graphs
-    (:meth:`repro.matching.csr_engine.CsrEngine.nfa_product_pairs`) walks
-    (graph node, automaton state) pairs.  Hashing ``frozenset`` state sets on
+    Both NFA-product searches — over compiled graphs
+    (:meth:`repro.matching.csr_engine.CsrEngine.nfa_product_pairs`) and over
+    any store (:meth:`repro.storage.adapter.DictEngineAdapter.product_pairs`)
+    — walk (graph node, automaton state) pairs.  Hashing ``frozenset`` state sets on
     every edge is wasteful, so this class interns each reachable subset into a
     dense integer id and memoises transitions per ``(state, symbol index)``
     as they are first taken.  Symbols are addressed by their index in the

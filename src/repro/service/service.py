@@ -237,39 +237,41 @@ class GraphService:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
         try:
-            while True:
+            try:
+                while True:
+                    try:
+                        request = await shttp.read_request(reader)
+                    except ProtocolError as exc:
+                        self.counters["errors"] += 1
+                        shttp.write_json(writer, 400, error_envelope(exc), keep_alive=False)
+                        break
+                    if request is None:
+                        break
+                    self.counters["requests"] += 1
+                    keep_open = await self._route(request, writer)
+                    await writer.drain()
+                    if not keep_open:
+                        break
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass
+            finally:
                 try:
-                    request = await shttp.read_request(reader)
-                except ProtocolError as exc:
+                    writer.close()
+                    await writer.wait_closed()
+                except ConnectionError:
+                    pass  # the peer vanishing mid-close is routine
+                except Exception:
+                    # Anything else failing to close the transport is a real
+                    # error; count it rather than suppressing it silently.
                     self.counters["errors"] += 1
-                    shttp.write_json(writer, 400, error_envelope(exc), keep_alive=False)
-                    break
-                if request is None:
-                    break
-                self.counters["requests"] += 1
-                keep_open = await self._route(request, writer)
-                await writer.drain()
-                if not keep_open:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
         except asyncio.CancelledError:
-            # Shutdown cancels open connections; exit quietly.  On 3.11+
-            # the cancellation must also be uncancelled, else the task is
-            # re-marked cancelled on return and the stdlib stream
-            # done-callback logs a spurious CancelledError at shutdown.
+            # Shutdown cancels open connections — mid-request, or while the
+            # close above is pending when the peer hung up first; exit
+            # quietly.  On 3.11+ the cancellation must also be uncancelled,
+            # else the task is re-marked cancelled on return and the stdlib
+            # stream done-callback logs a spurious CancelledError.
             if task is not None:
                 getattr(task, "uncancel", lambda: None)()
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError:
-                pass  # the peer vanishing mid-close is routine
-            except Exception:
-                # Anything else failing to close the transport is a real
-                # error; count it rather than suppressing it silently.
-                self.counters["errors"] += 1
 
     async def _route(self, request: Request, writer: asyncio.StreamWriter) -> bool:
         """Serve one request; returns False when the connection must close."""

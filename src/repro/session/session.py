@@ -769,7 +769,7 @@ class GraphSession:
                 if probe.decision != "evaluate":
                     plan = with_cache_decision(plan, probe.decision, probe.reason)
             self.prepared_queries += 1
-            self.plans_chosen[(plan.kind, plan.algorithm)] += 1
+            self.plans_chosen[f"{plan.kind}/{plan.algorithm}"] += 1
             return PreparedQuery(self, query, plan, overrides, canonical)
 
     def execute(self, query: Any, **overrides: Any) -> QueryResult:

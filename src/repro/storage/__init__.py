@@ -23,7 +23,11 @@ call.  The storage layer unifies the two behind one protocol:
   and optional thread-pool dispatch of the per-shard vector kernels;
 * :mod:`~repro.storage.adapter` — the *only* place that branches on the
   backend: :class:`~repro.matching.paths.PathMatcher` delegates its whole
-  expansion surface to one adapter, so the evaluation fixpoints above are
+  expansion surface to one adapter — the generic
+  :class:`~repro.storage.adapter.DictEngineAdapter` over any store above
+  (or a distance matrix), or its
+  :class:`~repro.storage.adapter.OverlayCsrAdapter` subclass, which adds
+  the clean-colour CSR fast path — so the evaluation fixpoints above are
   engine-free;
 * :mod:`~repro.storage.snapshot` — pinned MVCC snapshots:
   :class:`~repro.storage.snapshot.StoreSnapshot` (an immutable base +

@@ -20,8 +20,11 @@ any number of readers evaluate against their pinned snapshots.
 :class:`~repro.graph.data_graph.DataGraph` facade (duck-typed: nodes,
 attributes, merged adjacency, frozen version counters), which is what lets an
 unmodified dict-engine :class:`~repro.matching.paths.PathMatcher` — and the
-whole RQ/PQ fixpoint stack above it — evaluate at the pinned version with no
-snapshot-specific branches.
+whole RQ/PQ/general-RQ stack above it — evaluate at the pinned version with no
+snapshot-specific branches: the generic storage adapter reads the facade's
+``store`` (the snapshot itself), so set frontiers are one multi-source
+:meth:`StoreSnapshot.frontier` and general expressions a lazy-DFA product
+search over :meth:`StoreSnapshot.successors`.
 
 Pins are refcounted and shared per version by the owning store
 (:meth:`OverlayCsrStore.pin_snapshot` / :meth:`release_snapshot`); the
@@ -211,8 +214,8 @@ class SnapshotGraph:
     """A read-only :class:`DataGraph` facade over one :class:`StoreSnapshot`.
 
     Duck-typed to the surface the dict-engine evaluation stack reads
-    (:class:`~repro.storage.adapter.DictEngineAdapter`, the general-regex
-    NFA-product evaluator and :func:`~repro.graph.stats.compute_stats`):
+    (:class:`~repro.storage.adapter.DictEngineAdapter`, which expands
+    through :attr:`store`, and :func:`~repro.graph.stats.compute_stats`):
     node iteration, attribute views, merged adjacency and the version
     counters — all frozen at the pinned version, so every matcher memo keyed
     on them stays valid for the facade's whole lifetime.  There are no
@@ -280,7 +283,7 @@ class SnapshotGraph:
         return self._snapshot.predecessors(node, color)
 
     def out_edges(self, node: NodeId):
-        """Iterate edges leaving ``node`` (the general-regex read path)."""
+        """Iterate edges leaving ``node`` (drives :meth:`edges`)."""
         from repro.graph.data_graph import Edge
 
         snapshot = self._snapshot

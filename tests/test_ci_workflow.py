@@ -52,6 +52,15 @@ class TestCiWorkflow:
             "python-version != '3.12'" in step.get("if", "") for step in quick
         )
 
+    def test_primary_leg_runs_perfbench_self_tests(self, workflow):
+        job = workflow["jobs"]["test"]
+        steps = [
+            step for step in job["steps"]
+            if "pytest perfbench/tests" in step.get("run", "")
+        ]
+        assert steps, "the perfbench harness tests must run in CI"
+        assert all("python-version == '3.12'" in step.get("if", "") for step in steps)
+
     def test_coverage_floor_and_artifact(self, workflow):
         job = workflow["jobs"]["test"]
         commands = "\n".join(step.get("run", "") for step in job["steps"])

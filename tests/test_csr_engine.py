@@ -171,6 +171,19 @@ class TestPathMatcherCsrMode:
                 assert csr_matcher.atom_targets(node, atom) == dict_matcher.atom_targets(node, atom)
                 assert csr_matcher.atom_sources(node, atom) == dict_matcher.atom_sources(node, atom)
 
+    @pytest.mark.parametrize("engine", ["dict", "csr", "partitioned"])
+    def test_set_frontier_with_unknown_node_raises(self, engine):
+        from repro.exceptions import GraphError
+
+        graph = generate_synthetic_graph(40, 130, seed=9)
+        matcher = PathMatcher(graph, engine=engine)
+        atom = RegexAtom(sorted(graph.colors)[0], 2)
+        known = next(iter(graph.nodes()))
+        with pytest.raises(GraphError):
+            matcher.set_targets({known, "nope"}, atom)
+        with pytest.raises(GraphError):
+            matcher.set_sources({known, "nope"}, atom)
+
     def test_full_expression_parity(self):
         graph = generate_synthetic_graph(40, 130, seed=9)
         colors = sorted(graph.colors)

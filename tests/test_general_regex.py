@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import RegexSyntaxError
-from repro.matching.general_rq import (
-    GeneralReachabilityQuery,
-    evaluate_general_rq,
-    regex_reachable_from,
-)
+from repro.matching.general_rq import GeneralReachabilityQuery, evaluate_general_rq
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.general import GeneralRegex
 
@@ -170,10 +166,68 @@ class TestGeneralRqEvaluation:
         assert ("x", "y") in result.pairs
 
     def test_reachable_from_star_over_cycle(self, graph):
-        reachable = regex_reachable_from(graph, "C3", GeneralRegex.parse("fa*"))
+        query = GeneralReachabilityQuery({"job": "biologist"}, None, "fa*")
+        result = evaluate_general_rq(query, graph, engine="dict")
+        reachable = {target for source, target in result.pairs if source == "C3"}
         # C3 -fa-> C1 -fa-> C2 -fa-> C3: all biologists, including C3 itself.
         assert reachable == {"C1", "C2", "C3"}
 
     def test_empty_when_predicates_unsatisfied(self, graph):
         query = GeneralReachabilityQuery({"job": "astronaut"}, None, "fa+")
         assert evaluate_general_rq(query, graph).size == 0
+
+
+class TestStoreBackedEvaluation:
+    """General RQs read through the storage layer instead of recompiling."""
+
+    QUERY = GeneralReachabilityQuery("cat = 'Comedy'", None, "(fc|sr)+")
+
+    @pytest.fixture
+    def graph(self):
+        from repro.datasets.youtube import generate_youtube_graph
+
+        return generate_youtube_graph(num_nodes=120, num_edges=400, seed=3)
+
+    @staticmethod
+    def _new_edge(graph, color):
+        nodes = sorted(graph.nodes(), key=repr)
+        return next(
+            (a, b, color)
+            for a in nodes
+            for b in nodes
+            if a != b and not graph.has_edge(a, b, color)
+        )
+
+    def test_dirty_overlay_answers_without_recompiling(self, graph, monkeypatch):
+        from repro.graph.csr import CompiledGraph
+
+        evaluate_general_rq(self.QUERY, graph)  # compiles the overlay base
+        graph.add_edge(*self._new_edge(graph, "fc"))
+        store = graph.overlay_store()
+        store.sync()
+        assert store.dirty_colors() == {"fc"}
+        expected = evaluate_general_rq(self.QUERY, graph.copy(), engine="dict").pairs
+        builds = []
+        original = CompiledGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledGraph, "__init__", counting_init)
+        assert evaluate_general_rq(self.QUERY, graph).pairs == expected
+        assert builds == []
+
+    def test_pinned_snapshot_keeps_its_pin_time_answer(self, graph):
+        from repro.session.session import GraphSession
+
+        session = GraphSession(graph)
+        at_pin = evaluate_general_rq(self.QUERY, graph.copy(), engine="dict").pairs
+        with session.pin() as snapshot:
+            comedy = next(n for n in graph.nodes() if graph.attributes(n)["cat"] == "Comedy")
+            loner = next(n for n in graph.nodes() if (comedy, n) not in at_pin and n != comedy)
+            session.apply_updates([("add", comedy, loner, "fc")])
+            after = evaluate_general_rq(self.QUERY, graph.copy(), engine="dict").pairs
+            assert after != at_pin
+            assert snapshot.execute(self.QUERY).answer.pairs == at_pin
+        assert session.execute(self.QUERY).answer.pairs == after

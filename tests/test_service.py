@@ -6,6 +6,7 @@ same transport production callers use, so the HTTP parsing, envelopes and
 status codes are all under test.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -102,6 +103,15 @@ class TestEndpoints:
         # Snapshot executions deliberately bypass the session counters (they
         # run lock-free); the store must report no leaked pins at rest.
         assert stats["store"].get("pinned_snapshots", 0) == 0
+
+    def test_stats_serialise_after_in_process_execution(self, service, client):
+        # In-process planning records plan counters; /v1/stats must still
+        # encode them as JSON (tuple keys used to fail the whole response).
+        svc, _ = service
+        svc.session.execute(RQ)
+        stats = client.stats()
+        chosen = stats["session"]["plans_chosen"]
+        assert chosen and all(key.startswith("rq/") for key in chosen)
 
 
 class TestErrors:
@@ -253,3 +263,27 @@ class TestConcurrentReaders:
         with ServiceClient(*handle.address) as c:
             store = c.stats()["store"]
             assert store.get("pinned_snapshots", 0) == 0
+
+
+class TestShutdown:
+    def test_shutdown_after_client_hangup_logs_nothing(self, graph):
+        # The client closing its keep-alive connection first used to leave a
+        # cancelled connection task that asyncio's stream callback reported
+        # through the loop's exception handler at shutdown.
+        svc = GraphService(GraphSession(graph), ServiceConfig(port=0))
+        handle = svc.run_in_thread()
+        reported = []
+        try:
+            handle.call(_install_handler(reported))
+            client = ServiceClient(*handle.address)
+            client.health()
+            client.close()
+        finally:
+            handle.shutdown()
+        assert reported == []
+
+
+async def _install_handler(reported):
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: reported.append(context)
+    )

@@ -315,7 +315,7 @@ class TestWatchAndUpdates:
         assert counters["result_cache_hits"] == 1
         assert counters["updates_applied"] == 1
         assert counters["watches"] == 1
-        assert ("rq", prepared.plan.algorithm) in counters["plans_chosen"]
+        assert f"rq/{prepared.plan.algorithm}" in counters["plans_chosen"]
 
 
 class TestReprsAndAccessors:
